@@ -5,43 +5,42 @@
     open/close tags with inline HTML, variables, identifiers/keywords,
     integer/float literals, single- and double-quoted strings (the latter kept
     raw; interpolation is expanded by the parser), comments, casts and the
-    full operator set in {!Token.kind}. *)
+    full operator set in {!Token.kind}.
+
+    The scanner dispatches on the current byte and compares further bytes in
+    place: no probe copies the source, and the only allocations are the
+    tokens themselves and the lexemes that are not shared.  Helpers are
+    top-level functions taking every value they use, so no closure is built
+    per token. *)
 
 exception Error of string * int  (** message, line *)
 
 type state = {
   src : string;
+  len : int;
   mutable pos : int;
   mutable line : int;
   mutable in_php : bool;  (* inside <?php ... ?> *)
-  scratch : Buffer.t;
-      (* one buffer per tokenize call, cleared and reused by every string
-         literal — per-state rather than global so concurrent domains never
-         share it *)
-  interned : (string, string) Hashtbl.t;
-      (* recurring lexemes (keywords, identifiers, variables, whitespace
-         runs) share a single allocation per file *)
+  mutable keys : string array;
+      (* intern table: open addressing over the lexemes met so far, probed
+         with byte ranges of [src]; "" marks a free slot (no interned
+         lexeme is empty).  Per state, so concurrent domains never share
+         it. *)
+  mutable kinds : Token.kind array;  (* the token kind of each [keys] slot *)
+  mutable count : int;  (* occupied slots *)
+  mutable hits : int;  (* lexer.intern.* counts, flushed once per run *)
+  mutable bytes_saved : int;
 }
+
+let init ~pos ~line ~in_php src =
+  { src; len = String.length src; pos; line; in_php;
+    keys = Array.make 256 ""; kinds = Array.make 256 Token.T_EOF; count = 0;
+    hits = 0; bytes_saved = 0 }
 
 let fail st msg = raise (Error (msg, st.line))
 
-(* Lexeme interning: the first occurrence is kept, every later equal lexeme
-   returns the retained string and drops its own allocation.  The hit
-   counter is the evidence: on a typical plugin file most ident/keyword
-   tokens are intern hits. *)
-let intern st s =
-  match Hashtbl.find_opt st.interned s with
-  | Some s' ->
-      Obs.incr "lexer.intern.hits";
-      Obs.add "lexer.intern.bytes_saved" (String.length s);
-      s'
-  | None ->
-      Hashtbl.add st.interned s s;
-      s
-
-(* Shared one-character lexemes for punctuation — immutable, so safe to
-   share across domains. *)
-let single_char = Array.init 256 (fun i -> String.make 1 (Char.chr i))
+(* The byte at [p], or NUL past the end (NUL never continues a token). *)
+let byte st p = if p < st.len then String.unsafe_get st.src p else '\000'
 
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
@@ -49,236 +48,291 @@ let is_ident_start c =
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
-let peek st i =
-  let p = st.pos + i in
-  if p < String.length st.src then Some st.src.[p] else None
-
-let looking_at st s =
-  let n = String.length s and len = String.length st.src in
-  st.pos + n <= len && String.sub st.src st.pos n = s
-
-(* Case-insensitive [looking_at], for tags and casts. *)
-let looking_at_ci st s =
-  let n = String.length s and len = String.length st.src in
-  st.pos + n <= len
-  && String.lowercase_ascii (String.sub st.src st.pos n)
-     = String.lowercase_ascii s
-
-let count_newlines s =
-  let n = ref 0 in
-  String.iter (fun c -> if c = '\n' then incr n) s;
-  !n
-
-let advance_over st s =
-  st.line <- st.line + count_newlines s;
-  st.pos <- st.pos + String.length s
-
-let take_while st pred =
-  let start = st.pos in
-  while st.pos < String.length st.src && pred st.src.[st.pos] do
-    if st.src.[st.pos] = '\n' then st.line <- st.line + 1;
-    st.pos <- st.pos + 1
-  done;
-  String.sub st.src start (st.pos - start)
-
-(* Inline HTML up to the next open tag (or EOF). *)
-let lex_inline_html st =
-  let start = st.pos and line = st.line in
-  let len = String.length st.src in
-  let rec scan i =
-    if i >= len then i
-    else if i + 1 < len && st.src.[i] = '<' && st.src.[i + 1] = '?' then i
-    else scan (i + 1)
-  in
-  let stop = scan st.pos in
-  let text = String.sub st.src start (stop - start) in
-  st.line <- st.line + count_newlines text;
-  st.pos <- stop;
-  Token.make Token.T_INLINE_HTML text line
-
-let lex_single_quoted st =
-  let line = st.line in
-  let buf = st.scratch in
-  Buffer.clear buf;
-  Buffer.add_char buf '\'';
-  st.pos <- st.pos + 1;
-  let len = String.length st.src in
-  let rec scan () =
-    if st.pos >= len then fail st "unterminated single-quoted string"
-    else
-      let c = st.src.[st.pos] in
-      if c = '\n' then st.line <- st.line + 1;
-      if c = '\\' && st.pos + 1 < len then begin
-        (* the escaped character is consumed too: a backslash-newline must
-           still advance the line counter *)
-        let c2 = st.src.[st.pos + 1] in
-        if c2 = '\n' then st.line <- st.line + 1;
-        Buffer.add_char buf c;
-        Buffer.add_char buf c2;
-        st.pos <- st.pos + 2;
-        scan ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        st.pos <- st.pos + 1;
-        if c <> '\'' then scan ()
-      end
-  in
-  scan ();
-  Token.make Token.T_CONSTANT_STRING (Buffer.contents buf) line
-
-let lex_double_quoted st =
-  let line = st.line in
-  let buf = st.scratch in
-  Buffer.clear buf;
-  Buffer.add_char buf '"';
-  st.pos <- st.pos + 1;
-  let len = String.length st.src in
-  let rec scan () =
-    if st.pos >= len then fail st "unterminated double-quoted string"
-    else
-      let c = st.src.[st.pos] in
-      if c = '\n' then st.line <- st.line + 1;
-      if c = '\\' && st.pos + 1 < len then begin
-        (* the escaped character is consumed too: a backslash-newline must
-           still advance the line counter *)
-        let c2 = st.src.[st.pos + 1] in
-        if c2 = '\n' then st.line <- st.line + 1;
-        Buffer.add_char buf c;
-        Buffer.add_char buf c2;
-        st.pos <- st.pos + 2;
-        scan ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        st.pos <- st.pos + 1;
-        if c <> '"' then scan ()
-      end
-  in
-  scan ();
-  Token.make Token.T_ENCAPSED_STRING (Buffer.contents buf) line
-
 let is_hex_digit c =
   is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
 let is_bin_digit c = c = '0' || c = '1'
+
+(* First index at or after [i] whose byte fails [pred]. *)
+let rec scan_while pred src len i =
+  if i < len && pred (String.unsafe_get src i) then
+    scan_while pred src len (i + 1)
+  else i
+
+let is_blank c = c = ' ' || c = '\t'
+
+let rec count_newlines src i stop acc =
+  if i >= stop then acc
+  else
+    count_newlines src (i + 1) stop
+      (if String.unsafe_get src i = '\n' then acc + 1 else acc)
+
+let rec bytes_equal a ai b bi n =
+  n = 0
+  || String.unsafe_get a ai = String.unsafe_get b bi
+     && bytes_equal a (ai + 1) b (bi + 1) (n - 1)
+
+(* ------------------------------------------------------------------ *)
+(* Lexeme interning                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The first occurrence of a lexeme is kept and every later equal lexeme
+   returns the retained string.  A lookup hashes and compares the source
+   bytes in place, so a hit allocates nothing; the counters record each
+   avoided allocation. *)
+
+let hash_range src start len =
+  let h = ref 0 in
+  for i = start to start + len - 1 do
+    h := (!h lxor Char.code (String.unsafe_get src i)) * 0x01000193
+  done;
+  !h lxor (!h lsr 17)
+
+let rec find_slot keys mask src start len i =
+  let k = Array.unsafe_get keys i in
+  if String.length k = 0
+     || (String.length k = len && bytes_equal k 0 src start len)
+  then i
+  else find_slot keys mask src start len ((i + 1) land mask)
+
+let grow st =
+  let n = 2 * Array.length st.keys in
+  let keys = Array.make n "" and kinds = Array.make n Token.T_EOF in
+  Array.iteri
+    (fun j k ->
+      if String.length k > 0 then begin
+        let len = String.length k in
+        let h = hash_range k 0 len in
+        let i = find_slot keys (n - 1) k 0 len (h land (n - 1)) in
+        keys.(i) <- k;
+        kinds.(i) <- st.kinds.(j)
+      end)
+    st.keys;
+  st.keys <- keys;
+  st.kinds <- kinds
+
+(* Slot index of [src.[start .. start+len-1]], inserting it on a miss with
+   kind [kind] — except that an identifier ([T_STRING]) is resolved against
+   the keyword table, once per distinct spelling. *)
+let rec intern st start len kind =
+  let mask = Array.length st.keys - 1 in
+  let h = hash_range st.src start len in
+  let i = find_slot st.keys mask st.src start len (h land mask) in
+  if String.length (Array.unsafe_get st.keys i) > 0 then begin
+    st.hits <- st.hits + 1;
+    st.bytes_saved <- st.bytes_saved + len;
+    i
+  end
+  else if 2 * (st.count + 1) > Array.length st.keys then begin
+    grow st;
+    intern st start len kind
+  end
+  else begin
+    st.keys.(i) <- String.sub st.src start len;
+    st.kinds.(i) <-
+      (if kind <> Token.T_STRING then kind
+       else
+         match Token.keyword_of_range st.src start len with
+         | Some k -> k
+         | None -> Token.T_STRING);
+    st.count <- st.count + 1;
+    i
+  end
+
+(* The interned token spanning [start, st.pos). *)
+let interned st start kind line =
+  let i = intern st start (st.pos - start) kind in
+  Token.make (Array.unsafe_get st.kinds i) (Array.unsafe_get st.keys i) line
+
+let flush_counters st =
+  if st.hits > 0 then begin
+    Obs.add "lexer.intern.hits" st.hits;
+    Obs.add "lexer.intern.bytes_saved" st.bytes_saved;
+    st.hits <- 0;
+    st.bytes_saved <- 0
+  end
+
+(* Run [f st], flushing the intern counters however it ends. *)
+let counted st f =
+  Fun.protect ~finally:(fun () -> flush_counters st) (fun () -> f st)
+
+(* ------------------------------------------------------------------ *)
+(* Scanners                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The token spanning [start, st.pos), its lexeme copied from the source. *)
+let sub_token st kind start line =
+  Token.make kind (String.sub st.src start (st.pos - start)) line
+
+let skip_ws st =
+  let src = st.src and len = st.len in
+  let i = ref st.pos and line = ref st.line in
+  while
+    !i < len
+    &&
+    match String.unsafe_get src !i with
+    | ' ' | '\t' | '\r' -> true
+    | '\n' ->
+        incr line;
+        true
+    | _ -> false
+  do
+    incr i
+  done;
+  st.pos <- !i;
+  st.line <- !line
+
+(* [//] or [#] comment: up to, not including, the newline. *)
+let skip_line_comment st =
+  st.pos <- scan_while (fun c -> c <> '\n') st.src st.len st.pos
+
+(* [/* ... */]; an unterminated comment fails on its first line. *)
+let skip_block_comment st =
+  let src = st.src and len = st.len in
+  let i = ref (st.pos + 2) and line = ref st.line in
+  while
+    !i + 1 < len
+    && not
+         (String.unsafe_get src !i = '*'
+         && String.unsafe_get src (!i + 1) = '/')
+  do
+    if String.unsafe_get src !i = '\n' then incr line;
+    incr i
+  done;
+  if !i + 1 >= len then fail st "unterminated block comment";
+  st.pos <- !i + 2;
+  st.line <- !line
+
+(* Inline HTML up to the next open tag (or EOF). *)
+let lex_inline_html st =
+  let start = st.pos and line = st.line in
+  let src = st.src and len = st.len in
+  let i = ref start in
+  while
+    !i < len
+    && not (String.unsafe_get src !i = '<' && !i + 1 < len
+            && String.unsafe_get src (!i + 1) = '?')
+  do
+    incr i
+  done;
+  st.pos <- !i;
+  st.line <- count_newlines src start !i st.line;
+  sub_token st Token.T_INLINE_HTML start line
+
+(* A quoted string up to the next unescaped [quote]; the lexeme is the raw
+   source text, quotes included.  A backslash consumes the next byte too,
+   and a consumed newline still advances the line counter. *)
+let lex_quoted st quote kind unterminated =
+  let start = st.pos and line = st.line in
+  let src = st.src and len = st.len in
+  let i = ref (start + 1) and closed = ref false in
+  while not !closed do
+    if !i >= len then fail st unterminated;
+    let c = String.unsafe_get src !i in
+    if c = '\n' then st.line <- st.line + 1;
+    if c = '\\' && !i + 1 < len then begin
+      if String.unsafe_get src (!i + 1) = '\n' then st.line <- st.line + 1;
+      i := !i + 2
+    end
+    else begin
+      incr i;
+      closed := c = quote
+    end
+  done;
+  st.pos <- !i;
+  sub_token st kind start line
 
 (* Integer and float literals: decimal and leading-zero octal integers,
    0x../0b.. hex and binary, d.d floats and exponent notation (1e3, 1.5E-2,
    2e+10).  A trailing 'e' with no digits is not an exponent — "5en" stays
    T_LNUMBER "5" followed by an identifier, like PHP. *)
 let lex_number st =
-  let line = st.line in
-  let prefixed prefix_len pred =
-    let start = st.pos in
-    st.pos <- st.pos + prefix_len;
-    ignore (take_while st pred);
-    Token.make Token.T_LNUMBER (String.sub st.src start (st.pos - start)) line
-  in
-  if (looking_at_ci st "0x")
-     && (match peek st 2 with Some c -> is_hex_digit c | None -> false)
-  then prefixed 2 is_hex_digit
-  else if (looking_at_ci st "0b")
-          && (match peek st 2 with Some c -> is_bin_digit c | None -> false)
-  then prefixed 2 is_bin_digit
+  let start = st.pos and line = st.line in
+  let src = st.src and len = st.len in
+  let zero = String.unsafe_get src start = '0' and c1 = byte st (start + 1) in
+  if zero && (c1 = 'x' || c1 = 'X') && is_hex_digit (byte st (start + 2))
+  then begin
+    st.pos <- scan_while is_hex_digit src len (start + 2);
+    sub_token st Token.T_LNUMBER start line
+  end
+  else if zero && (c1 = 'b' || c1 = 'B') && is_bin_digit (byte st (start + 2))
+  then begin
+    st.pos <- scan_while is_bin_digit src len (start + 2);
+    sub_token st Token.T_LNUMBER start line
+  end
   else begin
-    let intpart = take_while st is_digit in
-    let frac =
-      match (peek st 0, peek st 1) with
-      | Some '.', Some d when is_digit d ->
-          st.pos <- st.pos + 1;
-          Some (take_while st is_digit)
-      | _ -> None
-    in
-    let expo =
-      match peek st 0 with
-      | Some ('e' | 'E') ->
-          let signed = match peek st 1 with Some ('+' | '-') -> true | _ -> false in
-          let first_digit = if signed then peek st 2 else peek st 1 in
-          (match first_digit with
-          | Some d when is_digit d ->
-              let start = st.pos in
-              st.pos <- st.pos + (if signed then 2 else 1);
-              ignore (take_while st is_digit);
-              Some (String.sub st.src start (st.pos - start))
-          | _ -> None)
-      | _ -> None
-    in
-    match (frac, expo) with
-    | None, None -> Token.make Token.T_LNUMBER intpart line
-    | _ ->
-        let lexeme =
-          intpart
-          ^ (match frac with Some f -> "." ^ f | None -> "")
-          ^ (match expo with Some e -> e | None -> "")
+    let i = ref (scan_while is_digit src len start) and float = ref false in
+    if byte st !i = '.' && is_digit (byte st (!i + 1)) then begin
+      i := scan_while is_digit src len (!i + 1);
+      float := true
+    end;
+    (match byte st !i with
+    | 'e' | 'E' ->
+        let d =
+          match byte st (!i + 1) with '+' | '-' -> !i + 2 | _ -> !i + 1
         in
-        Token.make Token.T_DNUMBER lexeme line
+        if is_digit (byte st d) then begin
+          i := scan_while is_digit src len d;
+          float := true
+        end
+    | _ -> ());
+    st.pos <- !i;
+    sub_token st
+      (if !float then Token.T_DNUMBER else Token.T_LNUMBER)
+      start line
   end
 
-let lex_line_comment st =
-  let line = st.line in
-  let text = take_while st (fun c -> c <> '\n') in
-  Token.make Token.T_COMMENT text line
+let cast_names =
+  [ ("int", Some Token.T_INT_CAST); ("integer", Some Token.T_INT_CAST);
+    ("float", Some Token.T_FLOAT_CAST); ("double", Some Token.T_FLOAT_CAST);
+    ("real", Some Token.T_FLOAT_CAST); ("string", Some Token.T_STRING_CAST);
+    ("array", Some Token.T_ARRAY_CAST); ("bool", Some Token.T_BOOL_CAST);
+    ("boolean", Some Token.T_BOOL_CAST) ]
 
-let lex_block_comment st =
-  let line = st.line in
-  let doc = looking_at st "/**" && not (looking_at st "/**/") in
-  let start = st.pos in
-  let len = String.length st.src in
-  let rec scan i =
-    if i + 1 >= len then fail st "unterminated block comment"
-    else if st.src.[i] = '*' && st.src.[i + 1] = '/' then i + 2
-    else scan (i + 1)
-  in
-  let stop = scan (st.pos + 2) in
-  let text = String.sub st.src start (stop - start) in
-  st.line <- st.line + count_newlines text;
-  st.pos <- stop;
-  Token.make (if doc then Token.T_DOC_COMMENT else Token.T_COMMENT) text line
+let rec cast_kind src start len = function
+  | [] -> None
+  | (w, k) :: rest ->
+      if String.length w = len && Token.same_ci src start len w 0 then k
+      else cast_kind src start len rest
 
-(* Cast tokens: '(' ws* typename ws* ')'. Returns None when the parenthesis
-   is not a cast. *)
-let try_lex_cast st =
-  let len = String.length st.src in
-  let rec skip_ws i = if i < len && (st.src.[i] = ' ' || st.src.[i] = '\t') then skip_ws (i + 1) else i in
-  let i = skip_ws (st.pos + 1) in
-  let j =
-    let rec scan j = if j < len && is_ident_char st.src.[j] then scan (j + 1) else j in
-    scan i
-  in
-  if j = i then None
-  else
-    let word = String.lowercase_ascii (String.sub st.src i (j - i)) in
-    let k = skip_ws j in
-    if k < len && st.src.[k] = ')' then
-      let kind =
-        match word with
-        | "int" | "integer" -> Some Token.T_INT_CAST
-        | "float" | "double" | "real" -> Some Token.T_FLOAT_CAST
-        | "string" -> Some Token.T_STRING_CAST
-        | "array" -> Some Token.T_ARRAY_CAST
-        | "bool" | "boolean" -> Some Token.T_BOOL_CAST
-        | _ -> None
-      in
-      match kind with
-      | Some kind ->
-          let lexeme = String.sub st.src st.pos (k + 1 - st.pos) in
-          let line = st.line in
-          st.pos <- k + 1;
-          Some (Token.make kind lexeme line)
-      | None -> None
+(* '(': a cast token when followed by blanks* typename blanks* ')',
+   otherwise the punctuation. *)
+let lex_open_paren st =
+  let start = st.pos and line = st.line in
+  let src = st.src and len = st.len in
+  let i = scan_while is_blank src len (start + 1) in
+  let j = scan_while is_ident_char src len i in
+  let k = scan_while is_blank src len j in
+  let kind =
+    if j > i && k < len && String.unsafe_get src k = ')' then
+      cast_kind src i (j - i) cast_names
     else None
+  in
+  match kind with
+  | Some kind ->
+      st.pos <- k + 1;
+      sub_token st kind start line
+  | None ->
+      st.pos <- start + 1;
+      Token.make Token.Punct "(" line
 
-let two_char_ops : (string * Token.kind) list =
-  [ ("=>", Token.T_DOUBLE_ARROW); ("->", Token.T_OBJECT_OPERATOR);
-    ("::", Token.T_DOUBLE_COLON); ("&&", Token.T_BOOLEAN_AND);
-    ("||", Token.T_BOOLEAN_OR); ("==", Token.T_IS_EQUAL);
-    ("!=", Token.T_IS_NOT_EQUAL); ("<=", Token.T_IS_SMALLER_OR_EQUAL);
-    (">=", Token.T_IS_GREATER_OR_EQUAL); ("+=", Token.T_PLUS_EQUAL);
-    ("-=", Token.T_MINUS_EQUAL); ("*=", Token.T_MUL_EQUAL);
-    ("/=", Token.T_DIV_EQUAL); (".=", Token.T_CONCAT_EQUAL);
-    ("%=", Token.T_MOD_EQUAL); ("++", Token.T_INC); ("--", Token.T_DEC);
-    ("??", Token.T_COALESCE) ]
+(* Start of the line, at or after [i], that begins with the closing label
+   [src.[label .. label+n-1]]. *)
+let rec find_heredoc_close st label n i =
+  let src = st.src and len = st.len in
+  if i >= len then fail st "unterminated heredoc"
+  else if
+    i + n <= len
+    && bytes_equal src i src label n
+    && (i + n = len
+        || match String.unsafe_get src (i + n) with
+           | ';' | '\n' | '\r' -> true
+           | _ -> false)
+  then i
+  else
+    let j = scan_while (fun c -> c <> '\n') src len i in
+    if j >= len then fail st "unterminated heredoc"
+    else find_heredoc_close st label n (j + 1)
 
 (* Heredoc / nowdoc literals (PHP 5 closing rule: the label starts in
    column 0, optionally followed by a single [;]).  [<<<EOT] and
@@ -290,131 +344,172 @@ let two_char_ops : (string * Token.kind) list =
    unique, so interning would only grow the table. *)
 let lex_heredoc st =
   let line = st.line in
-  let len = String.length st.src in
-  st.pos <- st.pos + 3;
-  while st.pos < len && (st.src.[st.pos] = ' ' || st.src.[st.pos] = '\t') do
-    st.pos <- st.pos + 1
-  done;
+  let src = st.src and len = st.len in
+  st.pos <- scan_while is_blank src len (st.pos + 3);
   let quote =
-    match peek st 0 with
-    | Some (('\'' | '"') as q) ->
+    match byte st st.pos with
+    | ('\'' | '"') as q ->
         st.pos <- st.pos + 1;
-        Some q
-    | _ -> None
+        q
+    | _ -> '\000'
   in
-  let label = take_while st is_ident_char in
-  if String.equal label "" then fail st "heredoc: missing label after <<<";
-  (match quote with
-  | Some q ->
-      if peek st 0 = Some q then st.pos <- st.pos + 1
-      else fail st "heredoc: unterminated label quote"
-  | None -> ());
-  if peek st 0 = Some '\r' then st.pos <- st.pos + 1;
-  (match peek st 0 with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.pos <- st.pos + 1
-  | _ -> fail st "heredoc: label must be followed by a newline");
+  let label = st.pos in
+  st.pos <- scan_while is_ident_char src len label;
+  let n = st.pos - label in
+  if n = 0 then fail st "heredoc: missing label after <<<";
+  if quote <> '\000' then
+    if byte st st.pos = quote then st.pos <- st.pos + 1
+    else fail st "heredoc: unterminated label quote";
+  if byte st st.pos = '\r' then st.pos <- st.pos + 1;
+  if byte st st.pos = '\n' then begin
+    st.line <- st.line + 1;
+    st.pos <- st.pos + 1
+  end
+  else fail st "heredoc: label must be followed by a newline";
   let body_start = st.pos in
-  let n = String.length label in
-  (* find the line that starts with the closing label *)
-  let rec find_close i =
-    if i >= len then fail st "unterminated heredoc"
-    else if
-      i + n <= len
-      && String.sub st.src i n = label
-      && (i + n = len
-          ||
-          match st.src.[i + n] with ';' | '\n' | '\r' -> true | _ -> false)
-    then i
-    else
-      let rec eol j = if j < len && st.src.[j] <> '\n' then eol (j + 1) else j in
-      let j = eol i in
-      if j >= len then fail st "unterminated heredoc" else find_close (j + 1)
-  in
-  let close = find_close st.pos in
+  let close = find_heredoc_close st label n body_start in
   (* the newline that precedes the closing label belongs to the delimiter,
      not the body *)
   let body_end =
-    if close > body_start && st.src.[close - 1] = '\n' then
-      if close - 1 > body_start && st.src.[close - 2] = '\r' then close - 2
+    if close > body_start && src.[close - 1] = '\n' then
+      if close - 1 > body_start && src.[close - 2] = '\r' then close - 2
       else close - 1
     else close
   in
-  let body = String.sub st.src body_start (body_end - body_start) in
-  st.line <- st.line + count_newlines (String.sub st.src body_start (close - body_start));
+  st.line <- count_newlines src body_start close st.line;
   st.pos <- close + n;
-  let kind = if quote = Some '\'' then Token.T_NOWDOC else Token.T_HEREDOC in
-  Token.make kind body line
+  Token.make
+    (if quote = '\'' then Token.T_NOWDOC else Token.T_HEREDOC)
+    (String.sub src body_start (body_end - body_start))
+    line
 
-let punct_chars = ";,(){}[]=+-*/%.<>!?:&@|^~$"
+(* Shared one-character lexemes for punctuation — immutable, so safe to
+   share across domains. *)
+let single_char = Array.init 256 (fun i -> String.make 1 (Char.chr i))
+
+let punct st c line =
+  st.pos <- st.pos + 1;
+  Token.make Token.Punct single_char.(Char.code c) line
+
+let op st n kind lexeme line =
+  st.pos <- st.pos + n;
+  Token.make kind lexeme line
+
+(* Inside PHP: skip the whitespace run or comment at [st.pos] and return
+   its token kind, or [None] when the next token is significant. *)
+let skip_trivia st =
+  match String.unsafe_get st.src st.pos with
+  | ' ' | '\t' | '\n' | '\r' ->
+      skip_ws st;
+      Some Token.T_WHITESPACE
+  | '#' ->
+      skip_line_comment st;
+      Some Token.T_COMMENT
+  | '/' -> (
+      match byte st (st.pos + 1) with
+      | '/' ->
+          skip_line_comment st;
+          Some Token.T_COMMENT
+      | '*' ->
+          let doc = byte st (st.pos + 2) = '*' && byte st (st.pos + 3) <> '/' in
+          skip_block_comment st;
+          if doc then Some Token.T_DOC_COMMENT else Some Token.T_COMMENT
+      | _ -> None)
+  | _ -> None
+
+(* A significant PHP token: dispatch on its first byte, then on the
+   second for the two- and three-byte operators. *)
+let lex_significant st =
+  let line = st.line and pos = st.pos in
+  let c = String.unsafe_get st.src pos and c1 = byte st (pos + 1) in
+  match c with
+  | '$' when is_ident_start c1 ->
+      st.pos <- scan_while is_ident_char st.src st.len (pos + 1);
+      interned st pos Token.T_VARIABLE line
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+      st.pos <- scan_while is_ident_char st.src st.len (pos + 1);
+      interned st pos Token.T_STRING line
+  | '0' .. '9' -> lex_number st
+  | '\'' ->
+      lex_quoted st '\'' Token.T_CONSTANT_STRING
+        "unterminated single-quoted string"
+  | '"' ->
+      lex_quoted st '"' Token.T_ENCAPSED_STRING
+        "unterminated double-quoted string"
+  | '/' ->
+      if c1 = '=' then op st 2 Token.T_DIV_EQUAL "/=" line else punct st c line
+  | '?' -> (
+      match c1 with
+      | '>' ->
+          st.pos <- pos + 2;
+          st.in_php <- false;
+          (* PHP consumes a single newline straight after the close tag. *)
+          if byte st st.pos = '\n' then begin
+            st.line <- st.line + 1;
+            st.pos <- st.pos + 1
+          end;
+          Token.make Token.T_CLOSE_TAG "?>" line
+      | '?' -> op st 2 Token.T_COALESCE "??" line
+      | _ -> punct st c line)
+  | '=' -> (
+      match c1 with
+      | '=' ->
+          if byte st (pos + 2) = '=' then
+            op st 3 Token.T_IS_IDENTICAL "===" line
+          else op st 2 Token.T_IS_EQUAL "==" line
+      | '>' -> op st 2 Token.T_DOUBLE_ARROW "=>" line
+      | _ -> punct st c line)
+  | '!' ->
+      if c1 <> '=' then punct st c line
+      else if byte st (pos + 2) = '=' then
+        op st 3 Token.T_IS_NOT_IDENTICAL "!==" line
+      else op st 2 Token.T_IS_NOT_EQUAL "!=" line
+  | '<' -> (
+      match c1 with
+      | '<' when byte st (pos + 2) = '<' -> lex_heredoc st
+      | '=' -> op st 2 Token.T_IS_SMALLER_OR_EQUAL "<=" line
+      | _ -> punct st c line)
+  | '>' ->
+      if c1 = '=' then op st 2 Token.T_IS_GREATER_OR_EQUAL ">=" line
+      else punct st c line
+  | '-' -> (
+      match c1 with
+      | '>' -> op st 2 Token.T_OBJECT_OPERATOR "->" line
+      | '=' -> op st 2 Token.T_MINUS_EQUAL "-=" line
+      | '-' -> op st 2 Token.T_DEC "--" line
+      | _ -> punct st c line)
+  | '+' -> (
+      match c1 with
+      | '=' -> op st 2 Token.T_PLUS_EQUAL "+=" line
+      | '+' -> op st 2 Token.T_INC "++" line
+      | _ -> punct st c line)
+  | '*' ->
+      if c1 = '=' then op st 2 Token.T_MUL_EQUAL "*=" line else punct st c line
+  | '.' ->
+      if c1 = '=' then op st 2 Token.T_CONCAT_EQUAL ".=" line
+      else punct st c line
+  | '%' ->
+      if c1 = '=' then op st 2 Token.T_MOD_EQUAL "%=" line else punct st c line
+  | ':' ->
+      if c1 = ':' then op st 2 Token.T_DOUBLE_COLON "::" line
+      else punct st c line
+  | '&' ->
+      if c1 = '&' then op st 2 Token.T_BOOLEAN_AND "&&" line
+      else punct st c line
+  | '|' ->
+      if c1 = '|' then op st 2 Token.T_BOOLEAN_OR "||" line
+      else punct st c line
+  | '(' -> lex_open_paren st
+  | ';' | ',' | ')' | '{' | '}' | '[' | ']' | '@' | '^' | '~' | '$' ->
+      punct st c line
+  | _ -> fail st (Printf.sprintf "unexpected character %C" c)
 
 let lex_php_token st =
-  let line = st.line in
-  let c =
-    match peek st 0 with Some c -> c | None -> fail st "unexpected EOF"
-  in
-  if looking_at st "?>" then begin
-    st.pos <- st.pos + 2;
-    st.in_php <- false;
-    (* PHP consumes a single newline straight after the close tag. *)
-    (if peek st 0 = Some '\n' then begin st.line <- st.line + 1; st.pos <- st.pos + 1 end);
-    Token.make Token.T_CLOSE_TAG "?>" line
-  end
-  else if c = ' ' || c = '\t' || c = '\n' || c = '\r' then
-    let ws = take_while st (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r') in
-    Token.make Token.T_WHITESPACE (intern st ws) line
-  else if looking_at st "===" then begin
-    advance_over st "===";
-    Token.make Token.T_IS_IDENTICAL "===" line
-  end
-  else if looking_at st "!==" then begin
-    advance_over st "!==";
-    Token.make Token.T_IS_NOT_IDENTICAL "!==" line
-  end
-  else if looking_at st "//" then lex_line_comment st
-  else if c = '#' then lex_line_comment st
-  else if looking_at st "/*" then lex_block_comment st
-  else if c = '$' && (match peek st 1 with Some c1 -> is_ident_start c1 | None -> false)
-  then begin
-    st.pos <- st.pos + 1;
-    let name = take_while st is_ident_char in
-    Token.make Token.T_VARIABLE (intern st ("$" ^ name)) line
-  end
-  else if is_ident_start c then begin
-    let word = intern st (take_while st is_ident_char) in
-    match Token.keyword_kind word with
-    | Some k -> Token.make k word line
-    | None -> Token.make Token.T_STRING word line
-  end
-  else if is_digit c then lex_number st
-  else if c = '\'' then lex_single_quoted st
-  else if c = '"' then lex_double_quoted st
-  else if looking_at st "<<<" then lex_heredoc st
-  else if c = '(' then begin
-    match try_lex_cast st with
-    | Some t -> t
-    | None ->
-        st.pos <- st.pos + 1;
-        Token.make Token.Punct "(" line
-  end
-  else
-    let two =
-      if st.pos + 2 <= String.length st.src then
-        let s2 = String.sub st.src st.pos 2 in
-        List.assoc_opt s2 two_char_ops |> Option.map (fun k -> (s2, k))
-      else None
-    in
-    match two with
-    | Some (s2, k) ->
-        advance_over st s2;
-        Token.make k s2 line
-    | None ->
-        if String.contains punct_chars c then begin
-          st.pos <- st.pos + 1;
-          Token.make Token.Punct single_char.(Char.code c) line
-        end
-        else fail st (Printf.sprintf "unexpected character %C" c)
+  let line = st.line and pos = st.pos in
+  match skip_trivia st with
+  | Some Token.T_WHITESPACE -> interned st pos Token.T_WHITESPACE line
+  | Some kind -> sub_token st kind pos line
+  | None -> lex_significant st
 
 (* One token from the current lexer state.  The precondition is
    [st.pos < String.length st.src]; the caller emits T_EOF itself.  Every
@@ -423,42 +518,31 @@ let lex_php_token st =
    incremental machinery below depends on that to reconstruct checkpoints
    from the token array alone. *)
 let step st =
-  if not st.in_php then
-    if looking_at_ci st "<?php" then begin
-      let line = st.line in
-      advance_over st (String.sub st.src st.pos 5);
+  if st.in_php then lex_php_token st
+  else
+    let p = st.pos and line = st.line in
+    if byte st p = '<' && byte st (p + 1) = '?' then begin
       st.in_php <- true;
-      Token.make Token.T_OPEN_TAG "<?php" line
-    end
-    else if looking_at st "<?=" then begin
-      (* short echo tag: open-tag + echo in one token *)
-      let line = st.line in
-      advance_over st "<?=";
-      st.in_php <- true;
-      Token.make Token.T_OPEN_TAG_WITH_ECHO "<?=" line
-    end
-    else if looking_at st "<?" then begin
-      let line = st.line in
-      advance_over st "<?";
-      st.in_php <- true;
-      Token.make Token.T_OPEN_TAG "<?" line
+      if p + 5 <= st.len && Token.same_ci st.src (p + 2) 3 "php" 0 then
+        op st 5 Token.T_OPEN_TAG "<?php" line
+      else if byte st (p + 2) = '=' then
+        (* short echo tag: open-tag + echo in one token *)
+        op st 3 Token.T_OPEN_TAG_WITH_ECHO "<?=" line
+      else op st 2 Token.T_OPEN_TAG "<?" line
     end
     else lex_inline_html st
-  else lex_php_token st
+
+let eof st = Token.make Token.T_EOF "" st.line
 
 (** Tokenize a full PHP source file.  Returns every token, including
     whitespace and comments, terminated by a single {!Token.T_EOF}. *)
 let tokenize src =
-  let st =
-    { src; pos = 0; line = 1; in_php = false;
-      scratch = Buffer.create 64; interned = Hashtbl.create 128 }
-  in
-  let len = String.length src in
-  let rec loop acc =
-    if st.pos >= len then List.rev (Token.make Token.T_EOF "" st.line :: acc)
-    else loop (step st :: acc)
-  in
-  loop []
+  counted (init ~pos:0 ~line:1 ~in_php:false src) (fun st ->
+      let rec loop acc =
+        if st.pos >= st.len then List.rev (eof st :: acc)
+        else loop (step st :: acc)
+      in
+      loop [])
 
 (** Drop whitespace and comments — phpSAFE "cleans the AST by removing
     comments and extra whitespaces" (§III.B). *)
@@ -470,18 +554,26 @@ let significant tokens =
       | _ -> true)
     tokens
 
-let tokenize_significant src = significant (tokenize src)
+(* [significant (tokenize src)], without building the dropped tokens. *)
+let tokenize_significant src =
+  counted (init ~pos:0 ~line:1 ~in_php:false src) (fun st ->
+      let rec loop acc =
+        if st.pos >= st.len then List.rev (eof st :: acc)
+        else if st.in_php && Option.is_some (skip_trivia st) then loop acc
+        else loop (step st :: acc)
+      in
+      loop [])
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointed incremental lexing                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The lexer's complete inter-token state is (pos, line, in_php): [scratch]
-   is cleared by every string lexer and [interned] is semantically
-   transparent, and multi-line constructs (heredocs, block comments,
-   strings) are consumed whole inside a single [step], so there is no
-   heredoc-label stack to snapshot between tokens.  A checkpoint is that
-   triple plus the index of the next token to be produced. *)
+(* The lexer's complete inter-token state is (pos, line, in_php): the
+   intern table is semantically transparent, and multi-line constructs
+   (heredocs, block comments, strings) are consumed whole inside a single
+   [step], so there is no heredoc-label stack to snapshot between tokens.
+   A checkpoint is that triple plus the index of the next token to be
+   produced. *)
 
 type checkpoint = {
   ck_index : int;  (* tokens [0, ck_index) precede this boundary *)
@@ -532,41 +624,56 @@ let derive_ckpts (tokens : Token.t array) (starts : int array)
   done;
   Array.of_list (List.rev !acc)
 
+(* Tokens with their start offsets and modes, in growable arrays. *)
+type run = {
+  mutable r_tokens : Token.t array;
+  mutable r_starts : int array;
+  mutable r_php : bool array;
+  mutable r_n : int;
+}
+
+let run_create hint =
+  let n = max 16 hint in
+  { r_tokens = Array.make n Token.placeholder;
+    r_starts = Array.make n 0; r_php = Array.make n false; r_n = 0 }
+
+let run_push r t start php =
+  if r.r_n = Array.length r.r_tokens then begin
+    let n = 2 * r.r_n in
+    let extend a fill = Array.append a (Array.make (n - Array.length a) fill) in
+    r.r_tokens <- extend r.r_tokens Token.placeholder;
+    r.r_starts <- extend r.r_starts 0;
+    r.r_php <- extend r.r_php false
+  end;
+  r.r_tokens.(r.r_n) <- t;
+  r.r_starts.(r.r_n) <- start;
+  r.r_php.(r.r_n) <- php;
+  r.r_n <- r.r_n + 1
+
+(* Lex forward from the state's position, recording each token's start and
+   mode, while [go st] holds and input remains. *)
+let lex_run st r go =
+  while st.pos < st.len && go st do
+    let start = st.pos and php = st.in_php in
+    run_push r (step st) start php
+  done
+
 let lex_all src : lexed =
-  let st =
-    { src; pos = 0; line = 1; in_php = false;
-      scratch = Buffer.create 64; interned = Hashtbl.create 128 }
-  in
-  let len = String.length src in
-  let toks = ref [] and starts = ref [] and phps = ref [] and count = ref 0 in
-  while st.pos < len do
-    starts := st.pos :: !starts;
-    phps := st.in_php :: !phps;
-    toks := step st :: !toks;
-    Stdlib.incr count
-  done;
-  starts := len :: !starts;
-  phps := st.in_php :: !phps;
-  toks := Token.make Token.T_EOF "" st.line :: !toks;
-  Stdlib.incr count;
-  let tokens = Array.make !count (Token.make Token.T_EOF "" 1) in
-  let starts_a = Array.make !count 0 and php_a = Array.make !count false in
-  let i = ref (!count - 1) in
-  List.iter2
-    (fun t (s, p) ->
-      tokens.(!i) <- t;
-      starts_a.(!i) <- s;
-      php_a.(!i) <- p;
-      Stdlib.decr i)
-    !toks
-    (List.combine !starts !phps);
-  {
-    lx_src = src;
-    lx_tokens = tokens;
-    lx_starts = starts_a;
-    lx_php = php_a;
-    lx_ckpts = derive_ckpts tokens starts_a php_a;
-  }
+  counted (init ~pos:0 ~line:1 ~in_php:false src) (fun st ->
+      (* plugin code averages over four bytes per token *)
+      let r = run_create (st.len / 4) in
+      lex_run st r (fun _ -> true);
+      run_push r (eof st) st.len st.in_php;
+      let tokens = Array.sub r.r_tokens 0 r.r_n in
+      let starts = Array.sub r.r_starts 0 r.r_n in
+      let php = Array.sub r.r_php 0 r.r_n in
+      {
+        lx_src = src;
+        lx_tokens = tokens;
+        lx_starts = starts;
+        lx_php = php;
+        lx_ckpts = derive_ckpts tokens starts php;
+      })
 
 (* Binary search: index i with starts.(i) = pos, if any. *)
 let token_index_of_start (starts : int array) pos =
@@ -643,36 +750,22 @@ let relex (old : lexed) (src : string) : lexed * relex_info =
       old.lx_ckpts;
     let ck = !ck in
     Obs.Mirror.incr "lexer.ckpt.resume";
-    let st =
-      { src; pos = ck.ck_pos; line = ck.ck_line; in_php = ck.ck_in_php;
-        scratch = Buffer.create 64; interned = Hashtbl.create 128 }
-    in
+    let st = init ~pos:ck.ck_pos ~line:ck.ck_line ~in_php:ck.ck_in_php src in
     (* lex forward until the token stream re-synchronizes with the old one:
        same byte position (modulo the length delta) past the damage, same
        PHP/HTML mode *)
-    let fresh = ref [] and fresh_count = ref 0 in
+    let fresh = run_create 64 in
     let resync = ref (-1) in
-    let continue_ = ref true in
-    while !continue_ do
-      if st.pos >= nlen then continue_ := false
-      else begin
-        (if st.pos >= damage_new_end then
-           match token_index_of_start old.lx_starts (st.pos - delta) with
-           | Some i
-             when old.lx_php.(i) = st.in_php && i < n_old - 1 ->
-               resync := i;
-               continue_ := false
-           | _ -> ());
-        if !continue_ then begin
-          let start = st.pos and php = st.in_php in
-          let t = step st in
-          fresh := (t, start, php) :: !fresh;
-          Stdlib.incr fresh_count
-        end
-      end
-    done;
-    Obs.Mirror.add "lexer.ckpt.resync_tokens" !fresh_count;
-    let fresh = List.rev !fresh in
+    counted st (fun st ->
+        lex_run st fresh (fun st ->
+            (if st.pos >= damage_new_end then
+               match token_index_of_start old.lx_starts (st.pos - delta) with
+               | Some i when old.lx_php.(i) = st.in_php && i < n_old - 1 ->
+                   resync := i
+               | _ -> ());
+            !resync < 0));
+    let fresh_count = fresh.r_n in
+    Obs.Mirror.add "lexer.ckpt.resync_tokens" fresh_count;
     let resync = if !resync >= 0 then Some !resync else None in
     let line_delta =
       match resync with
@@ -681,23 +774,20 @@ let relex (old : lexed) (src : string) : lexed * relex_info =
     in
     let n_suffix = match resync with Some i -> n_old - i | None -> 0 in
     let n_new =
-      ck.ck_index + !fresh_count + n_suffix
+      ck.ck_index + fresh_count + n_suffix
       + (match resync with None -> 1 | Some _ -> 0)
     in
-    let tokens = Array.make n_new (Token.make Token.T_EOF "" 1) in
+    let tokens = Array.make n_new Token.placeholder in
     let starts_a = Array.make n_new 0 and php_a = Array.make n_new false in
     Array.blit old.lx_tokens 0 tokens 0 ck.ck_index;
     Array.blit old.lx_starts 0 starts_a 0 ck.ck_index;
     Array.blit old.lx_php 0 php_a 0 ck.ck_index;
-    List.iteri
-      (fun j (t, start, php) ->
-        tokens.(ck.ck_index + j) <- t;
-        starts_a.(ck.ck_index + j) <- start;
-        php_a.(ck.ck_index + j) <- php)
-      fresh;
+    Array.blit fresh.r_tokens 0 tokens ck.ck_index fresh_count;
+    Array.blit fresh.r_starts 0 starts_a ck.ck_index fresh_count;
+    Array.blit fresh.r_php 0 php_a ck.ck_index fresh_count;
     (match resync with
     | Some i ->
-        let base = ck.ck_index + !fresh_count in
+        let base = ck.ck_index + fresh_count in
         for k = 0 to n_suffix - 1 do
           let t = old.lx_tokens.(i + k) in
           tokens.(base + k) <-
@@ -727,7 +817,7 @@ let relex (old : lexed) (src : string) : lexed * relex_info =
           {
             rl_prefix = ck.ck_index;
             rl_old_suffix = i;
-            rl_new_suffix = ck.ck_index + !fresh_count;
+            rl_new_suffix = ck.ck_index + fresh_count;
             rl_line_delta = line_delta;
           }
       | None ->

@@ -1121,7 +1121,7 @@ and parse_class st pos is_interface =
 (* ------------------------------------------------------------------ *)
 
 and parse_tokens ~file tokens : Ast.program =
-  let st = { tokens = Array.of_list tokens; cur = 0; depth = 0; file } in
+  let st = { tokens = Token.array_of_list tokens; cur = 0; depth = 0; file } in
   let rec loop acc =
     if check st Token.T_EOF then List.rev acc
     else if check st Token.T_OPEN_TAG then begin
@@ -1139,8 +1139,8 @@ and parse_source ~file src : Ast.program =
 
 (** Parse a single expression given as PHP text (no [<?php] tag). *)
 and expr_of_string ?(file = "<expr>") src : Ast.expr =
-  let tokens = Lexer.significant (Lexer.tokenize ("<?php " ^ src ^ ";")) in
-  let st = { tokens = Array.of_list tokens; cur = 0; depth = 0; file } in
+  let tokens = Lexer.tokenize_significant ("<?php " ^ src ^ ";") in
+  let st = { tokens = Token.array_of_list tokens; cur = 0; depth = 0; file } in
   ignore (eat st Token.T_OPEN_TAG);
   let e = parse_expr st in
   e

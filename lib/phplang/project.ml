@@ -364,7 +364,7 @@ module Increment = struct
         raws := i :: !raws
       end
     done;
-    (Array.of_list !toks, Array.of_list !raws)
+    (Token.array_of_list !toks, Array.of_list !raws)
 
   (* Number of sig tokens whose raw index is < [bound]; [raw] is strictly
      increasing. *)

@@ -105,6 +105,19 @@ type t = {
 
 let make kind lexeme line = { kind; lexeme; line }
 
+(** A statically allocated token for seeding token arrays.  [Array.make n x]
+    with [n] above the minor-heap block limit first runs a minor collection
+    when [x] is still in the minor heap, to promote it; a static seed never
+    is. *)
+let placeholder = { kind = T_EOF; lexeme = ""; line = 0 }
+
+(** [Array.of_list], seeded with {!placeholder}: [Array.of_list] seeds with
+    the list's first token, which a fresh lexer run has just allocated. *)
+let array_of_list tokens =
+  let a = Array.make (List.length tokens) placeholder in
+  List.iteri (fun i t -> Array.unsafe_set a i t) tokens;
+  a
+
 (** [token_name] equivalent: the PHP-style identifier of a token kind. *)
 let name = function
   | T_OPEN_TAG -> "T_OPEN_TAG"
@@ -219,11 +232,49 @@ let keywords : (string * kind) list =
     ("xor", T_LOGICAL_XOR); ("null", T_NULL); ("true", T_TRUE);
     ("false", T_FALSE) ]
 
-let keyword_kind s =
-  let s = String.lowercase_ascii s in
-  List.assoc_opt s keywords
+(* [keywords] bucketed by (length, first letter), built once.  Each bucket
+   holds at most a few candidates, paired with a preallocated [Some kind]. *)
+let max_keyword_len = 12
 
-let is_punct t c = t.kind = Punct && t.lexeme = String.make 1 c
+let keyword_buckets : (string * kind option) list array =
+  let b = Array.make ((max_keyword_len + 1) * 26) [] in
+  List.iter
+    (fun (w, k) ->
+      let i = (String.length w * 26) + Char.code w.[0] - Char.code 'a' in
+      b.(i) <- b.(i) @ [ (w, Some k) ])
+    keywords;
+  b
+
+(* Top-level rather than local so that no closure is allocated per call. *)
+let rec same_ci s start len w i =
+  i >= len
+  || Char.lowercase_ascii (String.unsafe_get s (start + i))
+     = String.unsafe_get w i
+     && same_ci s start len w (i + 1)
+
+let rec find_keyword s start len = function
+  | [] -> None
+  | (w, k) :: rest ->
+      if same_ci s start len w 1 then k else find_keyword s start len rest
+
+(** [keyword_of_range s start len] is the keyword kind of the byte range
+    [s.[start .. start+len-1]], compared case-insensitively in place: no
+    copy and no allocation. *)
+let keyword_of_range s start len =
+  if len < 2 || len > max_keyword_len then None
+  else
+    let c = Char.lowercase_ascii (String.unsafe_get s start) in
+    if c < 'a' || c > 'z' then None
+    else
+      find_keyword s start len
+        keyword_buckets.((len * 26) + Char.code c - Char.code 'a')
+
+let keyword_kind s = keyword_of_range s 0 (String.length s)
+
+let is_punct t c =
+  t.kind = Punct
+  && String.length t.lexeme = 1
+  && String.unsafe_get t.lexeme 0 = c
 
 let pp ppf t = Format.fprintf ppf "%s(%S)@%d" (name t.kind) t.lexeme t.line
 

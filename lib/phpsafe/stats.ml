@@ -152,8 +152,10 @@ and visit_stmt acc (s : A.stmt) =
         catches
   | A.InlineHtml _ | A.Nop | A.Break | A.Continue -> ()
 
-(** Gather the §III.D resource statistics over a whole project.  Files that
-    fail to parse contribute their token and LOC counts only. *)
+(** Gather the §III.D resource statistics over a whole project.  Each file
+    is lexed once; its significant tokens are counted and then parsed.
+    Files that fail to lex contribute their LOC count only, files that fail
+    to parse (or exceed the nesting budget) their token and LOC counts. *)
 let of_project (project : Phplang.Project.t) : t =
   let acc =
     { functions = 0; classes = 0; methods = 0; vars = S.empty; sg_reads = 0;
@@ -163,15 +165,16 @@ let of_project (project : Phplang.Project.t) : t =
   List.iter
     (fun (f : Phplang.Project.file) ->
       loc := !loc + Phplang.Loc.count f.Phplang.Project.source;
-      (match Phplang.Lexer.tokenize_significant f.Phplang.Project.source with
-      | toks -> tokens := !tokens + List.length toks
-      | exception Phplang.Lexer.Error _ -> ());
-      match
-        Phplang.Parser.parse_source ~file:f.Phplang.Project.path
-          f.Phplang.Project.source
-      with
-      | prog -> List.iter (visit_stmt acc) prog
-      | exception Phplang.Parser.Parse_error _ -> ())
+      match Phplang.Lexer.tokenize_significant f.Phplang.Project.source with
+      | exception Phplang.Lexer.Error _ -> ()
+      | toks -> (
+          tokens := !tokens + List.length toks;
+          match Phplang.Parser.parse_tokens ~file:f.Phplang.Project.path toks with
+          | prog -> List.iter (visit_stmt acc) prog
+          | exception
+              ( Phplang.Parser.Parse_error _ | Phplang.Parser.Depth_exceeded _ )
+            ->
+              ()))
     project.Phplang.Project.files;
   {
     st_files = Phplang.Project.file_count project;

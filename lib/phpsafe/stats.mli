@@ -17,6 +17,9 @@ type t = {
 val empty : t
 
 val of_project : Phplang.Project.t -> t
-(** Files that fail to parse contribute token and LOC counts only. *)
+(** Lexes each file once, counts its significant tokens and parses them.
+    A file the lexer rejects contributes its LOC count only; a file that
+    fails to parse or exceeds the nesting budget contributes its token and
+    LOC counts only.  Never raises on malformed input. *)
 
 val pp : Format.formatter -> t -> unit

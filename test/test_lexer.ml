@@ -29,11 +29,14 @@ let cases =
       [ t; Token.T_VARIABLE; Token.Punct ];
     check_kinds "superglobal name" "<?php $_GET;"
       [ t; Token.T_VARIABLE; Token.Punct ];
-    check_kinds "keywords case-insensitive" "<?php IF Else WHILE;"
-      [ t; Token.T_IF; Token.T_ELSE; Token.T_WHILE; Token.Punct ];
+    check_kinds "keywords case-insensitive"
+      "<?php IF Else WHILE ECHO Function NULL;"
+      [ t; Token.T_IF; Token.T_ELSE; Token.T_WHILE; Token.T_ECHO;
+        Token.T_FUNCTION; Token.T_NULL; Token.Punct ];
     check_kinds "die is exit" "<?php die;" [ t; Token.T_EXIT; Token.Punct ];
-    check_kinds "identifier vs keyword" "<?php echoes;"
-      [ t; Token.T_STRING; Token.Punct ];
+    check_kinds "identifier vs keyword" "<?php echoes $$a $ 1 $;"
+      [ t; Token.T_STRING; Token.Punct; Token.T_VARIABLE; Token.Punct;
+        Token.T_LNUMBER; Token.Punct; Token.Punct ];
     check_kinds "integers and floats" "<?php 42 3.14;"
       [ t; Token.T_LNUMBER; Token.T_DNUMBER; Token.Punct ];
     check_kinds "single-quoted string" "<?php 'abc';"
@@ -44,10 +47,16 @@ let cases =
       [ t; Token.T_VARIABLE; Token.T_OBJECT_OPERATOR; Token.T_STRING; Token.Punct ];
     check_kinds "double colon" "<?php A::b;"
       [ t; Token.T_STRING; Token.T_DOUBLE_COLON; Token.T_STRING; Token.Punct ];
-    check_kinds "comparison operators" "<?php 1 == 2 === 3 != 4 !== 5;"
+    check_kinds "comparison operators"
+      "<?php 1 == 2 === 3 != 4 !== 5 ==6!=7===8!==9 !=! =!= =;"
       [ t; Token.T_LNUMBER; Token.T_IS_EQUAL; Token.T_LNUMBER;
         Token.T_IS_IDENTICAL; Token.T_LNUMBER; Token.T_IS_NOT_EQUAL;
-        Token.T_LNUMBER; Token.T_IS_NOT_IDENTICAL; Token.T_LNUMBER; Token.Punct ];
+        Token.T_LNUMBER; Token.T_IS_NOT_IDENTICAL; Token.T_LNUMBER;
+        Token.T_IS_EQUAL; Token.T_LNUMBER; Token.T_IS_NOT_EQUAL;
+        Token.T_LNUMBER; Token.T_IS_IDENTICAL; Token.T_LNUMBER;
+        Token.T_IS_NOT_IDENTICAL; Token.T_LNUMBER; Token.T_IS_NOT_EQUAL;
+        Token.Punct; Token.Punct; Token.T_IS_NOT_EQUAL; Token.Punct;
+        Token.Punct ];
     check_kinds "compound assignment" "<?php $a .= $b;"
       [ t; Token.T_VARIABLE; Token.T_CONCAT_EQUAL; Token.T_VARIABLE; Token.Punct ];
     check_kinds "increment" "<?php $i++;"
@@ -60,17 +69,28 @@ let cases =
         Token.T_LOGICAL_OR; Token.T_VARIABLE; Token.Punct ];
     check_kinds "int cast" "<?php (int) $x;"
       [ t; Token.T_INT_CAST; Token.T_VARIABLE; Token.Punct ];
-    check_kinds "cast with inner spaces" "<?php ( integer ) $x;"
-      [ t; Token.T_INT_CAST; Token.T_VARIABLE; Token.Punct ];
-    check_kinds "parens not cast" "<?php (intdiv) ;"
-      [ t; Token.Punct; Token.T_STRING; Token.Punct; Token.Punct ];
+    check_kinds "cast with inner spaces" "<?php ( integer ) $x;( int )$y;(\tint\t)$z;"
+      [ t; Token.T_INT_CAST; Token.T_VARIABLE; Token.Punct; Token.T_INT_CAST;
+        Token.T_VARIABLE; Token.Punct; Token.T_INT_CAST; Token.T_VARIABLE;
+        Token.Punct ];
+    check_kinds "parens not cast" "<?php (intdiv) ;(intx);( int\n)$x;"
+      [ t; Token.Punct; Token.T_STRING; Token.Punct; Token.Punct;
+        Token.Punct; Token.T_STRING; Token.Punct; Token.Punct;
+        Token.Punct; Token.T_STRING; Token.Punct; Token.T_VARIABLE;
+        Token.Punct ];
     check_kinds "double arrow" "<?php array('a' => 1);"
       [ t; Token.T_ARRAY; Token.Punct; Token.T_CONSTANT_STRING; Token.T_DOUBLE_ARROW;
         Token.T_LNUMBER; Token.Punct; Token.Punct ];
     check_kinds "close tag to inline html"
-      "<?php $x; ?>hello<?php $y;"
+      "<?php $x; ?>hello<?PHP $y ?? $z ?: $w?>a<?Php $v = <<<EOT\nx\nEOT;\n\
+       $b = 1 < < 2 <<= 3;"
       [ t; Token.T_VARIABLE; Token.Punct; Token.T_CLOSE_TAG; Token.T_INLINE_HTML;
-        t; Token.T_VARIABLE; Token.Punct ];
+        t; Token.T_VARIABLE; Token.T_COALESCE; Token.T_VARIABLE; Token.Punct;
+        Token.Punct; Token.T_VARIABLE; Token.T_CLOSE_TAG; Token.T_INLINE_HTML;
+        t; Token.T_VARIABLE; Token.Punct; Token.T_HEREDOC; Token.Punct;
+        Token.T_VARIABLE; Token.Punct; Token.T_LNUMBER; Token.Punct;
+        Token.Punct; Token.T_LNUMBER; Token.Punct; Token.T_IS_SMALLER_OR_EQUAL;
+        Token.T_LNUMBER; Token.Punct ];
   ]
 
 let number_cases =
@@ -205,8 +225,17 @@ let line_cases =
     Alcotest.test_case "keyword lookup" `Quick (fun () ->
         Alcotest.(check bool) "foreach" true
           (Token.keyword_kind "FOREACH" = Some Token.T_FOREACH);
+        Alcotest.(check bool) "mixed case" true
+          (Token.keyword_kind "Function" = Some Token.T_FUNCTION
+          && Token.keyword_kind "NULL" = Some Token.T_NULL
+          && Token.keyword_kind "Die" = Some Token.T_EXIT);
         Alcotest.(check bool) "not a keyword" true
-          (Token.keyword_kind "foo" = None));
+          (Token.keyword_kind "foo" = None
+          && Token.keyword_kind "echo_" = None
+          && Token.keyword_kind "" = None);
+        Alcotest.(check (list string)) "keyword lexemes keep their case"
+          [ "<?php"; "ECHO"; "Function"; "NULL"; ";" ]
+          (lexemes "<?php ECHO Function NULL;"));
     Alcotest.test_case "close tag eats one newline" `Quick (fun () ->
         let tokens = lex "<?php ?>\nhtml" in
         let html =
@@ -216,7 +245,10 @@ let line_cases =
               else None)
             tokens
         in
-        Alcotest.(check (option string)) "html content" (Some "html") html);
+        Alcotest.(check (option string)) "html content" (Some "html") html;
+        Alcotest.(check (list string)) "uppercase open tag, ?> against ??"
+          [ "<?php"; "$x"; "??"; "$y"; "?>"; "a"; "<?php"; "$z" ]
+          (lexemes "<?PHP $x ?? $y ?>a<?Php $z"));
     Alcotest.test_case "recurring lexemes are interned" `Quick (fun () ->
         (* every repeat of an ident/keyword/variable/whitespace lexeme must
            return the retained first occurrence: physical equality within a
@@ -314,9 +346,49 @@ let frontend_cases =
         with Lexer.Error (_, _) -> ());
   ]
 
+(* Golden oracle: a digest of (kind name, lexeme, line) over the full token
+   stream of every file of both generated corpus versions.  The constant was
+   computed once and must never move: any lexer change that alters a single
+   token's kind, text or line anywhere in the corpus shows up here. *)
+let corpus_token_digest () =
+  let per_file = Buffer.create 65536 in
+  List.iter
+    (fun version ->
+      List.iter
+        (fun (p : Corpus.Catalog.plugin_output) ->
+          List.iter
+            (fun (f : Project.file) ->
+              let buf = Buffer.create 4096 in
+              (match Lexer.tokenize f.Project.source with
+              | toks ->
+                  List.iter
+                    (fun (tok : Token.t) ->
+                      Printf.bprintf buf "%s %S %d\n" (Token.name tok.Token.kind)
+                        tok.Token.lexeme tok.Token.line)
+                    toks
+              | exception Lexer.Error (msg, line) ->
+                  Printf.bprintf buf "error %S %d\n" msg line);
+              Printf.bprintf per_file "%s %s\n" f.Project.path
+                (Stdlib.Digest.to_hex (Stdlib.Digest.string (Buffer.contents buf))))
+            p.Corpus.Catalog.po_project.Project.files)
+        (Corpus.generate version).Corpus.plugins)
+    [ Corpus.Plan.V2012; Corpus.Plan.V2014 ];
+  Stdlib.Digest.to_hex (Stdlib.Digest.string (Buffer.contents per_file))
+
+let golden_corpus_digest = "ea85267af91ec845fda495e4715a721d"
+
+let golden_cases =
+  [
+    Alcotest.test_case "corpus token stream digest is unchanged" `Quick
+      (fun () ->
+        Alcotest.(check string) "digest" golden_corpus_digest
+          (corpus_token_digest ()));
+  ]
+
 let () =
   Alcotest.run "lexer"
     [ ("token kinds", cases);
       ("numeric literals", number_cases);
       ("positions and edge cases", line_cases);
-      ("front-end gaps (heredoc, <?=, ??)", frontend_cases) ]
+      ("front-end gaps (heredoc, <?=, ??)", frontend_cases);
+      ("golden token stream", golden_cases) ]

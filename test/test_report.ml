@@ -236,11 +236,21 @@ let stats_cases =
     case "parse failures degrade gracefully" (fun () ->
         let broken =
           Phplang.Project.make ~name:"p"
-            [ { Phplang.Project.path = "bad.php"; source = "<?php $a = ;" } ]
+            [ { Phplang.Project.path = "bad.php"; source = "<?php $a = ;" };
+              { Phplang.Project.path = "unlexable.php";
+                source = "<?php\nfunction f() {}\n$s = 'unterminated;\n" };
+              { Phplang.Project.path = "ok.php";
+                source = "<?php function g() { echo 1; }" } ]
         in
         let st = Phpsafe.Stats.of_project broken in
-        Alcotest.(check int) "files still counted" 1 st.Phpsafe.Stats.st_files;
-        Alcotest.(check int) "no functions" 0 st.Phpsafe.Stats.st_functions);
+        Alcotest.(check int) "files still counted" 3 st.Phpsafe.Stats.st_files;
+        (* bad.php lexes to 5 significant tokens (incl. EOF), ok.php to 11;
+           unlexable.php adds none *)
+        Alcotest.(check int) "tokens of the lexable files" 16
+          st.Phpsafe.Stats.st_tokens;
+        Alcotest.(check int) "LOC of every file" 5 st.Phpsafe.Stats.st_loc;
+        Alcotest.(check int) "only the parsable file's function" 1
+          st.Phpsafe.Stats.st_functions);
     case "pp renders every field" (fun () ->
         let text = Format.asprintf "%a" Phpsafe.Stats.pp Phpsafe.Stats.empty in
         Alcotest.(check bool) "mentions tokens" true (contains text "tokens=0");

@@ -444,7 +444,11 @@ let daemon_cases =
               ~finally:(fun () ->
                 try Unix.close fd with Unix.Unix_error _ -> ())
               (fun () ->
-                Protocol.write_frame fd (String.make 4096 'x');
+                (* the daemon may refuse and close as soon as it has read
+                   the header, before the body is written: the refusal is
+                   still there to read *)
+                (try Protocol.write_frame fd (String.make 4096 'x')
+                 with Protocol.Closed -> ());
                 (match Protocol.read_frame fd with
                 | Protocol.Frame reply ->
                     Alcotest.(check string) "code" "oversized"
@@ -508,8 +512,28 @@ let daemon_cases =
         with_daemon (fun sock ->
             let fd = connect sock in
             Protocol.write_frame fd (scan_req vuln_project);
-            (* shutdown from a second connection while the scan is queued
-               or in flight *)
+            (* wait until the daemon has admitted the scan: a shutdown read
+               before the scan frame would refuse it as shutting_down *)
+            let admitted () =
+              match
+                Json.parse
+                  (roundtrip sock (Protocol.encode_simple_request ~op:"status" ()))
+              with
+              | Error m -> Alcotest.fail m
+              | Ok json ->
+                  List.exists
+                    (fun field ->
+                      match Option.bind (Json.member field json) Json.to_int_opt with
+                      | Some n -> n > 0
+                      | None -> false)
+                    [ "queue_depth"; "inflight"; "served" ]
+            in
+            let deadline = Unix.gettimeofday () +. 10. in
+            while (not (admitted ())) && Unix.gettimeofday () < deadline do
+              Thread.delay 0.002
+            done;
+            (* shutdown from a second connection while the scan is queued,
+               in flight or already served *)
             ignore
               (roundtrip sock (Protocol.encode_simple_request ~op:"shutdown" ())
                 : string);
